@@ -320,8 +320,7 @@ pub fn load_tile(
     let tile_blocks = d.min(blocks - first_block);
 
     ctx.set_phase(Phase::GlobalLoad);
-    let starts_idx: Vec<usize> = (first_block..=first_block + tile_blocks).collect();
-    let starts = ctx.warp_gather(&col.block_starts, &starts_idx);
+    let starts = ctx.warp_gather_run(&col.block_starts, first_block, tile_blocks + 1);
 
     let structure = |block: usize, reason: &'static str| DecodeError::Structure {
         scheme: SCHEME,
@@ -386,7 +385,7 @@ pub fn load_tile(
         };
         (lo, hi)
     };
-    let expected = ctx.warp_gather(&col.checksums, &starts_idx[..tile_blocks]);
+    let expected = ctx.warp_gather_run(&col.checksums, first_block, tile_blocks);
     for (i, &want) in expected.iter().enumerate() {
         let (lo, hi) = cover(i);
         if staged_checksum(ctx, lo - stage_start, hi - lo) != want {

@@ -426,9 +426,9 @@ fn miniblock_table(bw_word: u32) -> [(u32, u32); MINIBLOCKS_PER_BLOCK] {
 /// A tile staged into shared memory with all structural checks passed:
 /// block starts gathered, payload staged, checksums verified, declared
 /// miniblock widths validated against each block's extent.
-pub(crate) struct StagedTile {
+pub(crate) struct StagedTile<'a> {
     /// Word offsets of the tile's blocks (`tile_blocks + 1` entries).
-    pub starts: Vec<u32>,
+    pub starts: &'a [u32],
     /// Word offset of the tile in the column payload.
     pub tile_start: usize,
     /// Blocks in this tile (the final tile may be short).
@@ -441,20 +441,19 @@ pub(crate) struct StagedTile {
 /// [`load_tile_select`]: gather block starts, run the structural
 /// guards, stage the compressed tile into shared memory, and verify
 /// checksums and declared widths.
-pub(crate) fn stage_tile(
+pub(crate) fn stage_tile<'a>(
     ctx: &mut BlockCtx<'_>,
-    col: &GpuForDevice,
+    col: &'a GpuForDevice,
     tile_id: usize,
     d: usize,
-) -> Result<StagedTile, DecodeError> {
+) -> Result<StagedTile<'a>, DecodeError> {
     let blocks = col.blocks();
     let first_block = tile_id * d;
     let tile_blocks = d.min(blocks - first_block);
 
     // (1) Block starts: D+1 consecutive u32 reads from one warp.
     ctx.set_phase(Phase::GlobalLoad);
-    let starts_idx: Vec<usize> = (first_block..=first_block + tile_blocks).collect();
-    let starts = ctx.warp_gather(&col.block_starts, &starts_idx);
+    let starts = ctx.warp_gather_run(&col.block_starts, first_block, tile_blocks + 1);
 
     // Structural guards before staging: nothing below may index past
     // `data` or overflow the shared-memory tile.
@@ -500,7 +499,7 @@ pub(crate) fn stage_tile(
 
     // Verify every staged block against its stored checksum before any
     // header word is trusted (one warp gather for the expected sums).
-    let expected = ctx.warp_gather(&col.checksums, &starts_idx[..tile_blocks]);
+    let expected = ctx.warp_gather_run(&col.checksums, first_block, tile_blocks);
     for (i, w) in starts.windows(2).enumerate() {
         let (lo, hi) = (w[0] as usize, w[1] as usize);
         if staged_checksum(ctx, lo - tile_start, hi - lo) != expected[i] {

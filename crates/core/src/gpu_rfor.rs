@@ -476,8 +476,8 @@ pub fn load_tile(
 ) -> Result<usize, DecodeError> {
     out.clear();
     ctx.set_phase(Phase::GlobalLoad);
-    let vstarts = ctx.warp_gather(&col.values_starts, &[block_id, block_id + 1]);
-    let lstarts = ctx.warp_gather(&col.lengths_starts, &[block_id, block_id + 1]);
+    let vstarts = ctx.warp_gather_run(&col.values_starts, block_id, 2);
+    let lstarts = ctx.warp_gather_run(&col.lengths_starts, block_id, 2);
     let (vs, ve) = (vstarts[0] as usize, vstarts[1] as usize);
     let (ls, le) = (lstarts[0] as usize, lstarts[1] as usize);
 
@@ -519,7 +519,7 @@ pub fn load_tile(
 
     // Verify the chained checksum over both staged streams before any
     // header word is trusted.
-    let expected = ctx.warp_gather(&col.checksums, &[block_id])[0];
+    let expected = ctx.warp_gather_run(&col.checksums, block_id, 1)[0];
     let actual = {
         let (shared, traffic) = ctx.shared_and_traffic();
         let words = (ve - vs) + (le - ls);

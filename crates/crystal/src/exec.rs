@@ -117,7 +117,7 @@ pub mod materialize {
                 return;
             }
             let keys = ctx.read_coalesced(fk, lo, hi - lo);
-            let mask: Vec<bool> = match prev {
+            let mut mask: Vec<bool> = match prev {
                 Some(p) => ctx
                     .read_coalesced(p, lo, hi - lo)
                     .iter()
@@ -125,10 +125,9 @@ pub mod materialize {
                     .collect(),
                 None => vec![true; hi - lo],
             };
-            let mut hits = Vec::new();
-            table.probe(ctx, &keys, &mask, &mut hits);
-            let pay: Vec<i32> = hits.iter().map(|h| h.unwrap_or(0)).collect();
-            let out_mask: Vec<u8> = hits.iter().map(|h| u8::from(h.is_some())).collect();
+            let mut pay = vec![0i32; hi - lo];
+            table.probe_select(ctx, &keys, &mut mask, &mut pay);
+            let out_mask: Vec<u8> = mask.iter().map(|&m| u8::from(m)).collect();
             ctx.write_coalesced(&mut payload, lo, &pay);
             ctx.write_coalesced(&mut sel, lo, &out_mask);
         });

@@ -92,11 +92,19 @@ impl DenseTable {
         self.slots.is_empty()
     }
 
+    /// Slot of `key`, or `None` when the key lies outside the table.
+    #[inline]
+    fn slot(&self, key: i32) -> Option<usize> {
+        let off = key as i64 - self.base as i64;
+        (0..self.slots.len() as i64)
+            .contains(&off)
+            .then_some(off as usize)
+    }
+
     /// Probe a tile of foreign keys from inside a kernel: for each
     /// *selected* lane, gather the slot and return its payload (`None`
-    /// for misses). Unselected lanes don't issue loads — but they also
-    /// don't save transactions unless a whole warp is inactive, exactly
-    /// as on hardware.
+    /// for misses). [`DenseTable::probe_select`] with the result as
+    /// options.
     pub fn probe(
         &self,
         ctx: &mut BlockCtx<'_>,
@@ -104,30 +112,63 @@ impl DenseTable {
         selected: &[bool],
         out: &mut Vec<Option<i32>>,
     ) {
-        debug_assert_eq!(keys.len(), selected.len());
-        ctx.set_phase(Phase::Predicate);
+        let mut sel = selected.to_vec();
+        let mut payload = vec![0; keys.len()];
+        self.probe_select(ctx, keys, &mut sel, &mut payload);
         out.clear();
-        out.reserve(keys.len());
-        for (kw, sw) in keys.chunks(WARP_SIZE).zip(selected.chunks(WARP_SIZE)) {
-            let idx: Vec<usize> = kw
-                .iter()
-                .zip(sw)
-                .filter(|&(_, &s)| s)
-                .map(|(&k, _)| (k - self.base) as usize)
-                .collect();
-            if !idx.is_empty() {
-                let hits = ctx.warp_gather(&self.slots, &idx);
-                let mut it = hits.into_iter();
-                for (&_k, &s) in kw.iter().zip(sw) {
-                    if s {
-                        let v = it.next().expect("one hit per selected lane");
-                        out.push((v != EMPTY).then_some(v));
-                    } else {
-                        out.push(None);
-                    }
+        out.extend(sel.iter().zip(&payload).map(|(&s, &p)| s.then_some(p)));
+    }
+
+    /// Probe a tile of foreign keys in place: each lane still set in
+    /// `selected` gathers its slot; a hit writes the payload to
+    /// `payload[i]`, a miss clears `selected[i]`. Unselected lanes
+    /// don't issue loads — but they also don't save transactions unless
+    /// a whole warp is inactive, exactly as on hardware. A key outside
+    /// the table's range is a miss that issues no load. Payload lanes
+    /// that do not hit are left as they were.
+    pub fn probe_select(
+        &self,
+        ctx: &mut BlockCtx<'_>,
+        keys: &[i32],
+        selected: &mut [bool],
+        payload: &mut [i32],
+    ) {
+        debug_assert_eq!(keys.len(), selected.len());
+        debug_assert_eq!(keys.len(), payload.len());
+        ctx.set_phase(Phase::Predicate);
+        let warps = keys
+            .chunks(WARP_SIZE)
+            .zip(selected.chunks_mut(WARP_SIZE))
+            .zip(payload.chunks_mut(WARP_SIZE));
+        for ((kw, sw), pw) in warps {
+            // The warp's loading lanes, compacted: slot and lane of each.
+            let mut idx = [0usize; WARP_SIZE];
+            let mut lanes = [0usize; WARP_SIZE];
+            let mut loads = 0;
+            for (lane, (&k, s)) in kw.iter().zip(sw.iter_mut()).enumerate() {
+                if !*s {
+                    continue;
                 }
-            } else {
-                out.extend(std::iter::repeat_n(None, kw.len()));
+                match self.slot(k) {
+                    Some(slot) => {
+                        idx[loads] = slot;
+                        lanes[loads] = lane;
+                        loads += 1;
+                    }
+                    None => *s = false,
+                }
+            }
+            if loads == 0 {
+                continue;
+            }
+            let mut hits = [EMPTY; WARP_SIZE];
+            ctx.warp_gather_into(&self.slots, &idx[..loads], &mut hits[..loads]);
+            for (&lane, &v) in lanes[..loads].iter().zip(&hits[..loads]) {
+                if v == EMPTY {
+                    sw[lane] = false;
+                } else {
+                    pw[lane] = v;
+                }
             }
         }
         ctx.add_int_ops(keys.len() as u64 * 2);
@@ -171,6 +212,33 @@ mod tests {
             t.probe(ctx, &keys, &sel, &mut out);
         });
         assert_eq!(out, vec![None; 64]);
+    }
+
+    #[test]
+    fn out_of_range_keys_miss_without_loading() {
+        let dev = Device::v100();
+        let t = table(&dev);
+        let reads = |keys: &[i32], out: &mut Vec<Option<i32>>| {
+            dev.reset_timeline();
+            dev.launch(KernelConfig::new("probe", 1, 128), |ctx| {
+                t.probe(ctx, keys, &vec![true; keys.len()], out);
+            });
+            dev.with_timeline(|tl| tl.total_traffic().global_read_segments)
+        };
+        let mut out = Vec::new();
+        let in_range = reads(&[2, 4, 100], &mut out);
+        assert_eq!(out, vec![Some(20), Some(40), Some(1000)]);
+        // Keys below `base`, past `max_key` and at the i32 extremes
+        // miss; the in-range lanes cost exactly what they did alone.
+        let mixed = reads(&[0, 2, -7, 4, 101, i32::MIN, 100, i32::MAX], &mut out);
+        assert_eq!(
+            out,
+            vec![None, Some(20), None, Some(40), None, None, Some(1000), None]
+        );
+        assert_eq!(mixed, in_range);
+        // A warp whose only selected keys are out of range loads nothing.
+        assert_eq!(reads(&[0, 101, 5000], &mut out), 0);
+        assert_eq!(out, vec![None; 3]);
     }
 
     #[test]

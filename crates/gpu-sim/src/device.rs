@@ -189,6 +189,20 @@ impl Device {
         self.alloc_from_vec(vec![T::default(); len])
     }
 
+    /// Reserve device address space for `len` elements without keeping
+    /// any host storage, returning the base address. The allocator
+    /// advances exactly as [`Device::alloc_zeroed`] would, so every
+    /// later allocation gets the same address either way. For callers
+    /// that model a large, sparsely touched buffer (a group-by table)
+    /// and keep only the touched elements host-side. A reservation has
+    /// no words for an armed fault plan to flip, so it is limited to
+    /// non-corruptible element types, where `alloc_zeroed` draws no
+    /// flips either.
+    pub fn reserve<T: Scalar>(&self, len: usize) -> u64 {
+        assert!(!T::CORRUPTIBLE, "reserve is for non-corruptible types");
+        self.bump(len as u64 * T::BYTES)
+    }
+
     fn bump(&self, bytes: u64) -> u64 {
         let base = self.alloc_cursor.get();
         let next = (base + bytes).div_ceil(ALLOC_ALIGN) * ALLOC_ALIGN;
@@ -517,6 +531,22 @@ impl Device {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn reserve_advances_the_allocator_like_alloc_zeroed() {
+        for len in [0usize, 1, 31, 32, 33, 1000, 1 << 20] {
+            let reserved = Device::v100();
+            let allocated = Device::v100();
+            let base = reserved.reserve::<u64>(len);
+            let buf = allocated.alloc_zeroed::<u64>(len);
+            assert_eq!(base, buf.addr_of(0));
+            assert_eq!(
+                reserved.alloc_zeroed::<u8>(1).addr_of(0),
+                allocated.alloc_zeroed::<u8>(1).addr_of(0),
+                "len {len}"
+            );
+        }
+    }
 
     #[test]
     fn alloc_alignment_and_disjointness() {

@@ -3,8 +3,8 @@
 use std::collections::HashSet;
 
 use crate::memory::{
-    gather_segments, segments_for_gather, segments_for_range, GlobalBuffer, Scalar, SEGMENT_BYTES,
-    WARP_SIZE,
+    for_each_warp_segment, segments_for_gather, segments_for_range, GlobalBuffer, Scalar,
+    SEGMENT_BYTES, WARP_SIZE,
 };
 use crate::report::{Counter, Phase, PhaseSpans, Traffic};
 
@@ -192,10 +192,13 @@ impl<'a> BlockCtx<'a> {
     fn charge_gather_read(&mut self, addrs: &[u64], width: u64) {
         let segs = match &mut self.l1 {
             None => segments_for_gather(addrs, width),
-            Some(cache) => gather_segments(addrs, width)
-                .into_iter()
-                .filter(|&seg| cache.insert(seg))
-                .count() as u64,
+            Some(cache) => {
+                let mut fetched = 0;
+                for_each_warp_segment(addrs, width, |seg| {
+                    fetched += u64::from(cache.insert(seg));
+                });
+                fetched
+            }
         };
         self.traffic().global_read_segments += segs;
     }
@@ -257,14 +260,40 @@ impl<'a> BlockCtx<'a> {
     /// One warp gathers up to 32 arbitrary elements in a single
     /// instruction; transactions = distinct segments touched. Used for
     /// hash-table probes and the `block_starts` reads of Algorithm 1.
+    /// More than 32 indices issue one gather per 32.
     pub fn warp_gather<T: Scalar>(&mut self, buf: &GlobalBuffer<T>, indices: &[usize]) -> Vec<T> {
-        let mut out = Vec::with_capacity(indices.len());
-        for chunk in indices.chunks(WARP_SIZE) {
-            let addrs: Vec<u64> = chunk.iter().map(|&i| buf.addr_of(i)).collect();
-            self.charge_gather_read(&addrs, T::BYTES);
-            out.extend(chunk.iter().map(|&i| buf.get(i)));
-        }
+        let mut out = vec![T::default(); indices.len()];
+        self.warp_gather_into(buf, indices, &mut out);
         out
+    }
+
+    /// [`BlockCtx::warp_gather`] into a caller slice (`out.len()` must
+    /// equal `indices.len()`), so hot callers allocate nothing.
+    pub fn warp_gather_into<T: Scalar>(
+        &mut self,
+        buf: &GlobalBuffer<T>,
+        indices: &[usize],
+        out: &mut [T],
+    ) {
+        self.warp_gather_wide_into(buf, indices, T::BYTES, out);
+    }
+
+    /// [`BlockCtx::warp_gather`] of the `len` consecutive elements from
+    /// `start` (one gather per 32), borrowing the values instead of
+    /// copying them: the block-start and checksum reads of the tile
+    /// decoders.
+    pub fn warp_gather_run<'b, T: Scalar>(
+        &mut self,
+        buf: &'b GlobalBuffer<T>,
+        start: usize,
+        len: usize,
+    ) -> &'b [T] {
+        for lo in (start..start + len).step_by(WARP_SIZE) {
+            let hi = (lo + WARP_SIZE).min(start + len);
+            let addrs = lane_addrs(buf, lo..hi);
+            self.charge_gather_read(&addrs[..hi - lo], T::BYTES);
+        }
+        buf.range(start, len)
     }
 
     /// Like [`BlockCtx::warp_gather`], but each lane reads `width_bytes`
@@ -278,21 +307,35 @@ impl<'a> BlockCtx<'a> {
         indices: &[usize],
         width_bytes: u64,
     ) -> Vec<T> {
-        let mut out = Vec::with_capacity(indices.len());
-        for chunk in indices.chunks(WARP_SIZE) {
-            let addrs: Vec<u64> = chunk.iter().map(|&i| buf.addr_of(i)).collect();
-            self.charge_gather_read(&addrs, width_bytes);
-            out.extend(chunk.iter().map(|&i| buf.get(i)));
-        }
+        let mut out = vec![T::default(); indices.len()];
+        self.warp_gather_wide_into(buf, indices, width_bytes, &mut out);
         out
+    }
+
+    fn warp_gather_wide_into<T: Scalar>(
+        &mut self,
+        buf: &GlobalBuffer<T>,
+        indices: &[usize],
+        width_bytes: u64,
+        out: &mut [T],
+    ) {
+        assert_eq!(indices.len(), out.len(), "one output per gathered lane");
+        for (chunk, out) in indices.chunks(WARP_SIZE).zip(out.chunks_mut(WARP_SIZE)) {
+            let addrs = lane_addrs(buf, chunk.iter().copied());
+            self.charge_gather_read(&addrs[..chunk.len()], width_bytes);
+            for (o, &i) in out.iter_mut().zip(chunk) {
+                *o = buf.get(i);
+            }
+        }
     }
 
     /// One warp scatters up to 32 `(index, value)` pairs; transactions =
     /// distinct segments touched.
     pub fn warp_scatter<T: Scalar>(&mut self, buf: &mut GlobalBuffer<T>, writes: &[(usize, T)]) {
         for chunk in writes.chunks(WARP_SIZE) {
-            let addrs: Vec<u64> = chunk.iter().map(|&(i, _)| buf.addr_of(i)).collect();
-            self.traffic().global_write_segments += segments_for_gather(&addrs, T::BYTES);
+            let addrs = lane_addrs(buf, chunk.iter().map(|&(i, _)| i));
+            self.traffic().global_write_segments +=
+                segments_for_gather(&addrs[..chunk.len()], T::BYTES);
             for &(i, v) in chunk {
                 buf.put(i, v);
             }
@@ -303,16 +346,24 @@ impl<'a> BlockCtx<'a> {
     /// `atomicAdd` on global memory: a read plus a write per segment).
     pub fn warp_atomic_add_u64(&mut self, buf: &mut GlobalBuffer<u64>, updates: &[(usize, u64)]) {
         for chunk in updates.chunks(WARP_SIZE) {
-            let addrs: Vec<u64> = chunk.iter().map(|&(i, _)| buf.addr_of(i)).collect();
-            let segs = segments_for_gather(&addrs, 8);
-            let traffic = self.traffic();
-            traffic.global_read_segments += segs;
-            traffic.global_write_segments += segs;
+            let addrs = lane_addrs(buf, chunk.iter().map(|&(i, _)| i));
+            self.charge_atomic(&addrs[..chunk.len()], 8);
             for &(i, v) in chunk {
                 let cur = buf.get(i);
                 buf.put(i, cur.wrapping_add(v));
             }
         }
+    }
+
+    /// Charge one warp's atomic read-modify-write of `width`-byte
+    /// elements at `addrs`: a read and a write per distinct segment.
+    /// For callers that keep the atomics' target storage themselves
+    /// (e.g. a sparse group-by table over a reserved address range).
+    pub fn charge_atomic(&mut self, addrs: &[u64], width: u64) {
+        let segs = segments_for_gather(addrs, width);
+        let traffic = self.traffic();
+        traffic.global_read_segments += segs;
+        traffic.global_write_segments += segs;
     }
 
     // ------------------------------------------------------------------
@@ -375,6 +426,20 @@ impl<'a> BlockCtx<'a> {
     }
 }
 
+/// Byte addresses of up to one warp's lanes, on the stack; entries past
+/// the lane count are zero.
+#[inline]
+fn lane_addrs<T: Scalar>(
+    buf: &GlobalBuffer<T>,
+    lanes: impl Iterator<Item = usize>,
+) -> [u64; WARP_SIZE] {
+    let mut addrs = [0u64; WARP_SIZE];
+    for (a, i) in addrs.iter_mut().zip(lanes) {
+        *a = buf.addr_of(i);
+    }
+    addrs
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -420,6 +485,35 @@ mod tests {
             let _ = blk.warp_gather(&buf, &idx);
         });
         assert_eq!(report.traffic.global_read_segments, 32);
+    }
+
+    #[test]
+    fn gather_variants_agree_on_values_and_traffic() {
+        let dev = Device::v100();
+        let data: Vec<u32> = (0..1024).map(|i| i * 7).collect();
+        let buf = dev.alloc_from_slice(&data);
+        // 40 consecutive indices: two warps, the second partial.
+        let idx: Vec<usize> = (100..140).collect();
+        let mut via_vec = Vec::new();
+        let vec_report = dev.launch(KernelConfig::new("k", 1, 32), |blk| {
+            via_vec = blk.warp_gather(&buf, &idx);
+        });
+        let mut via_slice = [0u32; 40];
+        let slice_report = dev.launch(KernelConfig::new("k", 1, 32), |blk| {
+            blk.warp_gather_into(&buf, &idx, &mut via_slice);
+        });
+        let mut via_run = Vec::new();
+        let run_report = dev.launch(KernelConfig::new("k", 1, 32), |blk| {
+            via_run = blk.warp_gather_run(&buf, 100, 40).to_vec();
+        });
+        assert_eq!(via_vec, &data[100..140]);
+        assert_eq!(via_slice, &data[100..140]);
+        assert_eq!(via_run, &data[100..140]);
+        assert_eq!(vec_report.traffic, slice_report.traffic);
+        assert_eq!(vec_report.traffic, run_report.traffic);
+        // Each warp charges its own segments: bytes 400..528 span two,
+        // the second warp's 528..560 one.
+        assert_eq!(vec_report.traffic.global_read_segments, 3);
     }
 
     #[test]

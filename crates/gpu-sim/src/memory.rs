@@ -142,23 +142,70 @@ pub fn segments_for_range(addr: u64, bytes: u64) -> u64 {
     (addr + bytes - 1) / SEGMENT_BYTES - addr / SEGMENT_BYTES + 1
 }
 
-/// The distinct 128-byte segments touched by a warp-sized gather of
-/// `width`-byte elements at the given byte addresses, sorted and
-/// deduplicated.
-pub fn gather_segments(addrs: &[u64], width: u64) -> Vec<u64> {
-    debug_assert!(addrs.len() <= WARP_SIZE, "gather must be per-warp");
-    // Warps touch at most 32 * width bytes => at most 64 segments for
-    // 8-byte elements; a tiny sorted scratch vector is cheap.
-    let mut segs: Vec<u64> = Vec::with_capacity(addrs.len() * 2);
+/// Most distinct segments one warp access can touch: each of the 32
+/// lanes covers its first and last byte's segment.
+const MAX_WARP_SEGMENTS: usize = 2 * WARP_SIZE;
+
+/// Slots of the open-addressed set used for non-monotone warps: a power
+/// of two at least twice [`MAX_WARP_SEGMENTS`], so probes stay short.
+const SET_SLOTS: usize = 2 * MAX_WARP_SEGMENTS;
+
+/// Shift that maps a 64-bit Fibonacci hash onto a slot index.
+const SET_SHIFT: u32 = 64 - SET_SLOTS.trailing_zeros();
+
+/// Empty-slot marker. Segment ids are byte addresses divided by 128, so
+/// no real id reaches `u64::MAX`.
+const EMPTY_SLOT: u64 = u64::MAX;
+
+/// Call `visit` once for each distinct 128-byte segment touched by a
+/// warp-sized access of `width`-byte elements at the given byte
+/// addresses: the segment of each lane's first byte and, for a
+/// non-zero width, of its last byte. Nothing is allocated or sorted.
+///
+/// Monotone addresses of elements no wider than a segment (block
+/// starts, checksums, contiguous runs) take a linear pass: each lane
+/// then covers one or two adjacent segments, starting no earlier than
+/// the previous lane's, so a lane adds exactly the segments past the
+/// highest one seen. Everything else (random probes) goes through a
+/// small fixed-size open-addressed set on the stack.
+pub fn for_each_warp_segment(addrs: &[u64], width: u64, mut visit: impl FnMut(u64)) {
+    assert!(addrs.len() <= WARP_SIZE, "gather must be per-warp");
+    let last_byte = width.max(1) - 1;
+    if width <= SEGMENT_BYTES && addrs.windows(2).all(|w| w[0] <= w[1]) {
+        // First segment not yet visited.
+        let mut next = 0u64;
+        for &a in addrs {
+            let (first, last) = (a / SEGMENT_BYTES, (a + last_byte) / SEGMENT_BYTES);
+            for seg in first.max(next)..=last {
+                visit(seg);
+            }
+            next = next.max(last + 1);
+        }
+        return;
+    }
+    let mut slots = [EMPTY_SLOT; SET_SLOTS];
+    let mut insert = |seg: u64| {
+        // Fibonacci hashing onto the table's index bits, linear probing.
+        let mut i = (seg.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> SET_SHIFT) as usize;
+        loop {
+            match slots[i] {
+                EMPTY_SLOT => {
+                    slots[i] = seg;
+                    visit(seg);
+                    return;
+                }
+                s if s == seg => return,
+                _ => i = (i + 1) & (SET_SLOTS - 1),
+            }
+        }
+    };
     for &a in addrs {
-        segs.push(a / SEGMENT_BYTES);
-        if width > 0 {
-            segs.push((a + width - 1) / SEGMENT_BYTES);
+        let (first, last) = (a / SEGMENT_BYTES, (a + last_byte) / SEGMENT_BYTES);
+        insert(first);
+        if last != first {
+            insert(last);
         }
     }
-    segs.sort_unstable();
-    segs.dedup();
-    segs
 }
 
 /// Number of distinct 128-byte segments touched by a warp-sized gather
@@ -167,8 +214,11 @@ pub fn gather_segments(addrs: &[u64], width: u64) -> Vec<u64> {
 /// This is the coalescing rule: accesses from one warp that fall into the
 /// same segment are combined into a single transaction; an element that
 /// straddles a segment boundary touches both.
+#[inline]
 pub fn segments_for_gather(addrs: &[u64], width: u64) -> u64 {
-    gather_segments(addrs, width).len() as u64
+    let mut count = 0;
+    for_each_warp_segment(addrs, width, |_| count += 1);
+    count
 }
 
 #[cfg(test)]

@@ -4,7 +4,8 @@
 //! Formerly proptest-based; now seeded via the vendored `tlc-rng` so
 //! the suite runs fully offline.
 
-use tlc_gpu_sim::{Device, DeviceParams, KernelConfig};
+use tlc_gpu_sim::memory::{for_each_warp_segment, segments_for_gather};
+use tlc_gpu_sim::{Device, DeviceParams, KernelConfig, SEGMENT_BYTES, WARP_SIZE};
 use tlc_rng::Rng;
 
 /// Coalesced reads of a byte range touch at least ceil(bytes/128)
@@ -173,4 +174,94 @@ fn l1_does_not_cache_across_blocks() {
     });
     // Each of the 4 blocks re-fetches the 4 segments.
     assert_eq!(report.traffic.global_read_segments, 16);
+}
+
+/// Naive coalescing reference: the sorted, deduplicated segments of
+/// every lane's first and (for a non-zero width) last byte.
+fn reference_segments(addrs: &[u64], width: u64) -> Vec<u64> {
+    let mut segs = Vec::new();
+    for &a in addrs {
+        segs.push(a / SEGMENT_BYTES);
+        if width > 0 {
+            segs.push((a + width - 1) / SEGMENT_BYTES);
+        }
+    }
+    segs.sort_unstable();
+    segs.dedup();
+    segs
+}
+
+/// One warp's worth of addresses in each shape the counter special-
+/// cases or could get wrong.
+fn address_sets(rng: &mut Rng, len: usize) -> Vec<Vec<u64>> {
+    let base = 4096 + rng.gen_range(0u64..1 << 20);
+    let random = |rng: &mut Rng, span: u64| -> Vec<u64> {
+        (0..len).map(|_| base + rng.gen_range(0..span)).collect()
+    };
+    let narrow = random(rng, 512);
+    let wide = random(rng, 1 << 24);
+    let mut sorted = random(rng, 8192);
+    sorted.sort_unstable();
+    let reversed: Vec<u64> = sorted.iter().rev().copied().collect();
+    let equal = vec![base; len];
+    // Within a few bytes of a segment boundary, so wide lanes straddle.
+    let straddling: Vec<u64> = (0..len)
+        .map(|_| {
+            let boundary = (base / SEGMENT_BYTES + rng.gen_range(1u64..64)) * SEGMENT_BYTES;
+            boundary - rng.gen_range(1u64..17)
+        })
+        .collect();
+    let contiguous: Vec<u64> = (0..len as u64).map(|i| base + 4 * i).collect();
+    vec![
+        narrow, wide, sorted, reversed, equal, straddling, contiguous,
+    ]
+}
+
+/// The allocation-free segment counter agrees with the naive
+/// sort + dedup reference on every shape, length and width, and visits
+/// each distinct segment exactly once.
+#[test]
+fn warp_segment_counter_matches_sort_dedup_reference() {
+    let mut rng = Rng::seed_from_u64(0x51B_0010);
+    for round in 0..64 {
+        for len in 0..=WARP_SIZE {
+            for addrs in address_sets(&mut rng, len) {
+                for width in [0u64, 1, 4, 8, 16, 129, 300] {
+                    let want = reference_segments(&addrs, width);
+                    assert_eq!(
+                        segments_for_gather(&addrs, width),
+                        want.len() as u64,
+                        "round {round}, len {len}, width {width}: {addrs:?}"
+                    );
+                    let mut seen = Vec::new();
+                    for_each_warp_segment(&addrs, width, |seg| seen.push(seg));
+                    seen.sort_unstable();
+                    assert_eq!(seen, want, "width {width}: {addrs:?}");
+                }
+            }
+        }
+    }
+}
+
+/// Through the L1 model, a warp gather fetches exactly the reference's
+/// segments once; repeating it in the same block fetches nothing.
+#[test]
+fn l1_gather_fetches_each_reference_segment_once() {
+    let mut rng = Rng::seed_from_u64(0x51B_0011);
+    let dev = Device::with_params(DeviceParams {
+        l1_per_block: true,
+        ..DeviceParams::v100()
+    });
+    let buf = dev.alloc_zeroed::<u64>(1 << 16);
+    for _ in 0..128 {
+        let n = rng.gen_range(1usize..=WARP_SIZE);
+        let indices: Vec<usize> = (0..n).map(|_| rng.gen_range(0usize..1 << 16)).collect();
+        let addrs: Vec<u64> = indices.iter().map(|&i| buf.addr_of(i)).collect();
+        let want = reference_segments(&addrs, 8).len() as u64;
+        let report = dev.launch(KernelConfig::new("l1", 1, 32), |ctx| {
+            let _ = ctx.warp_gather(&buf, &indices);
+            let _ = ctx.warp_gather(&buf, &indices);
+        });
+        assert_eq!(report.traffic.global_read_segments, want);
+    }
 }

@@ -14,7 +14,7 @@
 
 use tlc_core::DecodeError;
 use tlc_crystal::exec::{fused_config, materialize};
-use tlc_crystal::{DenseTable, GroupBySum, QueryColumn, ScalarSum};
+use tlc_crystal::{DenseTable, GroupBySum, QueryColumn, ScalarSum, TILE};
 use tlc_gpu_sim::{Device, GlobalBuffer, Phase};
 
 use crate::encode::LoColumns;
@@ -417,9 +417,7 @@ pub fn try_run_query(
         return Ok(if sum == 0 { vec![] } else { vec![(0, sum)] });
     }
     let agg = fused_join_flight(dev, q, &prepared, &tables, &s)?;
-    let mut out: Vec<(u64, u64)> = agg.non_zero().iter().map(|&(g, v)| (g as u64, v)).collect();
-    out.sort_unstable();
-    Ok(out)
+    Ok(agg.non_zero().iter().map(|&(g, v)| (g as u64, v)).collect())
 }
 
 /// Flight 1: date join + fact predicates + scalar sum of
@@ -449,19 +447,22 @@ fn fused_flight1(
         cfg,
         |ctx| -> Result<u64, DecodeError> {
             let t = ctx.block_id();
-            let (mut od, mut qt, mut dc, mut ep) = (Vec::new(), Vec::new(), Vec::new(), Vec::new());
-            let (mut sel_q, mut sel_qd, mut sel_od, mut sel_hit) =
-                (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+            let [mut od, mut qt, mut dc, mut ep] = [(); 4].map(|_| Vec::with_capacity(TILE));
+            let [mut sel_q, mut sel_qd, mut sel_od, mut sel_hit] =
+                [(); 4].map(|_| Vec::with_capacity(TILE));
             // quantity → discount → orderdate, each chaining the bitmap.
             let n = cols[1].load_tile_select(ctx, t, &s.qty_pred, None, &mut sel_q, &mut qt)?;
             cols[2].load_tile_select(ctx, t, &s.disc_pred, Some(&sel_q), &mut sel_qd, &mut dc)?;
             cols[0].load_tile_select(ctx, t, &|_| true, Some(&sel_qd), &mut sel_od, &mut od)?;
-            let mut hits = Vec::new();
-            tables.date.probe(ctx, &od[..n], &sel_od, &mut hits);
+            // The date probe prunes `sel_od` in place; flight 1 needs
+            // only the join's hits, not its payload.
+            let mut date_payload = [0i32; TILE];
+            tables
+                .date
+                .probe_select(ctx, &od[..n], &mut sel_od[..n], &mut date_payload[..n]);
             // Price decodes against the post-probe selection: a tile
             // with no date hits unpacks nothing from this column.
-            let keep: Vec<bool> = (0..n).map(|i| sel_od[i] && hits[i].is_some()).collect();
-            cols[3].load_tile_select(ctx, t, &|_| true, Some(&keep), &mut sel_hit, &mut ep)?;
+            cols[3].load_tile_select(ctx, t, &|_| true, Some(&sel_od), &mut sel_hit, &mut ep)?;
             ctx.set_phase(Phase::Aggregate);
             let local: u64 = (0..n)
                 .filter(|&i| sel_hit[i])
@@ -509,8 +510,8 @@ fn fused_join_flight(
         cfg,
         |ctx| -> Result<Vec<(usize, u64)>, DecodeError> {
             let t = ctx.block_id();
-            let mut bufs: Vec<Vec<i32>> = vec![Vec::new(); cols.len()];
-            let (mut ch, mut sh, mut ph, mut dh) = (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+            let mut bufs: Vec<Vec<i32>> =
+                (0..cols.len()).map(|_| Vec::with_capacity(TILE)).collect();
 
             // Column positions within this query's column list.
             let cix = |c: LoColumn| {
@@ -534,80 +535,46 @@ fn fused_join_flight(
             }
             let mut sel = vec![true; n];
 
-            // Probe most-selective dimensions first; payload defaults cover
-            // the tables a query doesn't use.
-            let mut cpay = vec![0i32; n];
-            let mut spay = vec![0i32; n];
-            let mut ppay = vec![0i32; n];
-            if uses_cust(q) {
-                let keys = &bufs[cix(LoColumn::CustKey)][..n];
-                tables
-                    .cust
-                    .as_ref()
-                    .expect("cust table")
-                    .probe(ctx, keys, &sel, &mut ch);
-                for i in 0..n {
-                    match ch[i] {
-                        Some(p) if sel[i] => cpay[i] = p,
-                        _ => sel[i] = false,
-                    }
-                }
-            }
-            {
-                let keys = &bufs[cix(LoColumn::SuppKey)][..n];
-                tables
-                    .supp
-                    .as_ref()
-                    .expect("supp table")
-                    .probe(ctx, keys, &sel, &mut sh);
-                for i in 0..n {
-                    match sh[i] {
-                        Some(p) if sel[i] => spay[i] = p,
-                        _ => sel[i] = false,
-                    }
-                }
-            }
-            if uses_part(q) {
-                let keys = &bufs[cix(LoColumn::PartKey)][..n];
-                tables
-                    .part
-                    .as_ref()
-                    .expect("part table")
-                    .probe(ctx, keys, &sel, &mut ph);
-                for i in 0..n {
-                    match ph[i] {
-                        Some(p) if sel[i] => ppay[i] = p,
-                        _ => sel[i] = false,
-                    }
+            // Probe most-selective dimensions first, each pruning `sel`
+            // in place; payload defaults cover the tables a query
+            // doesn't use.
+            let [mut cpay, mut spay, mut ppay, mut dpay] = [[0i32; TILE]; 4];
+            let probes = [
+                (uses_cust(q), &tables.cust, LoColumn::CustKey, &mut cpay),
+                (true, &tables.supp, LoColumn::SuppKey, &mut spay),
+                (uses_part(q), &tables.part, LoColumn::PartKey, &mut ppay),
+            ];
+            for (used, table, key, payload) in probes {
+                if used {
+                    let table = table.as_ref().expect("dimension table built");
+                    table.probe_select(ctx, &bufs[cix(key)][..n], &mut sel, &mut payload[..n]);
                 }
             }
             let dates = &bufs[cix(LoColumn::OrderDate)][..n];
-            tables.date.probe(ctx, dates, &sel, &mut dh);
+            tables
+                .date
+                .probe_select(ctx, dates, &mut sel, &mut dpay[..n]);
 
             // Fused decode→select for the measures: only miniblocks with
             // a surviving lane unpack, and the decompressed values never
             // round-trip global memory.
-            let keep: Vec<bool> = (0..n).map(|i| sel[i] && dh[i].is_some()).collect();
-            let (mut msel, mut measure, mut costs) = (Vec::new(), Vec::new(), Vec::new());
+            let mut msel = Vec::with_capacity(TILE);
+            let (mut measure, mut costs) = (Vec::with_capacity(TILE), Vec::with_capacity(TILE));
             cols[rev_ix].load_tile_select(
                 ctx,
                 t,
                 &|_| true,
-                Some(&keep),
+                Some(&sel),
                 &mut msel,
                 &mut measure,
             )?;
             if let Some(ci) = cost_ix {
-                cols[ci].load_tile_select(ctx, t, &|_| true, Some(&keep), &mut msel, &mut costs)?;
+                cols[ci].load_tile_select(ctx, t, &|_| true, Some(&sel), &mut msel, &mut costs)?;
             }
             ctx.set_phase(Phase::Aggregate);
-            let mut pairs = Vec::new();
-            for i in 0..n {
-                if !keep[i] {
-                    continue;
-                }
-                let Some(y) = dh[i] else { continue };
-                let g = (s.group)(cpay[i], spay[i], ppay[i], y);
+            let mut pairs = Vec::with_capacity(sel.iter().filter(|&&s| s).count());
+            for i in (0..n).filter(|&i| sel[i]) {
+                let g = (s.group)(cpay[i], spay[i], ppay[i], dpay[i]);
                 let v = if cost_ix.is_some() {
                     (measure[i] as i64 - costs[i] as i64) as u64
                 } else {
@@ -772,7 +739,5 @@ fn run_materialized(dev: &Device, data: &SsbData, cols: &LoColumns, q: QueryId) 
             move |row| (group(row[0], row[1], row[2], row[3]), row[4] as u64),
         ),
     };
-    let mut out: Vec<(u64, u64)> = agg.non_zero().iter().map(|&(g, v)| (g as u64, v)).collect();
-    out.sort_unstable();
-    out
+    agg.non_zero().iter().map(|&(g, v)| (g as u64, v)).collect()
 }
